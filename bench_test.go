@@ -288,19 +288,19 @@ func (cb *collectiveBench) run(b *testing.B, kernel string, mode core.Mode) floa
 			var err error
 			switch kernel {
 			case "mpi":
-				_, err = c.AllreducePlain(r, cb.data[r.ID])
+				_, err = c.Allreduce(r, core.Plain, core.AlgoRing, cb.data[r.ID])
 			case "ccoll":
-				_, err = c.AllreduceCColl(r, cb.data[r.ID])
+				_, err = c.Allreduce(r, core.CColl, core.AlgoRing, cb.data[r.ID])
 			case "hz":
-				_, _, err = c.AllreduceHZ(r, cb.data[r.ID])
+				_, err = c.Allreduce(r, core.HZ, core.AlgoRing, cb.data[r.ID])
 			case "hz-naive":
 				_, _, err = c.AllreduceHZNaive(r, cb.data[r.ID])
 			case "rs-mpi":
-				_, err = c.ReduceScatterPlain(r, cb.data[r.ID])
+				_, err = c.ReduceScatter(r, core.Plain, core.AlgoRing, cb.data[r.ID])
 			case "rs-ccoll":
-				_, err = c.ReduceScatterCColl(r, cb.data[r.ID])
+				_, err = c.ReduceScatter(r, core.CColl, core.AlgoRing, cb.data[r.ID])
 			case "rs-hz":
-				_, _, err = c.ReduceScatterHZ(r, cb.data[r.ID])
+				_, err = c.ReduceScatter(r, core.HZ, core.AlgoRing, cb.data[r.ID])
 			default:
 				b.Fatalf("unknown kernel %s", kernel)
 			}
@@ -327,7 +327,7 @@ func BenchmarkAllreduceTraceOverhead(b *testing.B) {
 	c := core.New(core.Options{ErrorBound: cb.eb, Mode: core.SingleThread, Rates: cb.rates})
 	cfg := cluster.Config{Ranks: cb.nodes, BandwidthBytes: 0.4e9}
 	body := func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, cb.data[r.ID])
+		_, err := c.Allreduce(r, core.HZ, core.AlgoRing, cb.data[r.ID])
 		return err
 	}
 	run := func(traced bool) float64 {
@@ -389,7 +389,7 @@ func BenchmarkFig2Breakdown(b *testing.B) {
 	var doc, mpi float64
 	for i := 0; i < b.N; i++ {
 		res, err := cluster.Run(cfg, func(r *cluster.Rank) error {
-			_, err := c.AllreduceCColl(r, cb.data[r.ID])
+			_, err := c.Allreduce(r, core.CColl, core.AlgoRing, cb.data[r.ID])
 			return err
 		})
 		if err != nil {
@@ -485,11 +485,11 @@ func BenchmarkTable7Stacking(b *testing.B) {
 					var err error
 					switch kernel {
 					case "mpi":
-						_, err = c.AllreducePlain(r, exps[r.ID])
+						_, err = c.Allreduce(r, core.Plain, core.AlgoRing, exps[r.ID])
 					case "ccoll":
-						_, err = c.AllreduceCColl(r, exps[r.ID])
+						_, err = c.Allreduce(r, core.CColl, core.AlgoRing, exps[r.ID])
 					default:
-						_, _, err = c.AllreduceHZ(r, exps[r.ID])
+						_, err = c.Allreduce(r, core.HZ, core.AlgoRing, exps[r.ID])
 					}
 					return err
 				})
@@ -920,11 +920,11 @@ func BenchmarkAblationCPRP2P(b *testing.B) {
 			return err
 		}},
 		{"ccoll", func(c core.Collectives, r *cluster.Rank, data []float32) error {
-			_, err := c.AllreduceCColl(r, data)
+			_, err := c.Allreduce(r, core.CColl, core.AlgoRing, data)
 			return err
 		}},
 		{"hzccl", func(c core.Collectives, r *cluster.Rank, data []float32) error {
-			_, _, err := c.AllreduceHZ(r, data)
+			_, err := c.Allreduce(r, core.HZ, core.AlgoRing, data)
 			return err
 		}},
 	}

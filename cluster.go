@@ -110,32 +110,21 @@ func NewTCPTransport(opt TCPOptions) (*TCPTransport, error) {
 	return cluster.NewTCPTransport(opt)
 }
 
-// Backend selects a collective implementation.
-type Backend int
+// Backend selects a collective implementation: the reduce operator every
+// collective schedule runs with.
+type Backend = core.Backend
 
 // Collective backends.
 const (
 	// BackendMPI is the uncompressed baseline (original MPI collectives).
-	BackendMPI Backend = iota
+	BackendMPI = core.Plain
 	// BackendCColl is the C-Coll baseline: compression-accelerated
 	// collectives with the decompress-operate-compress workflow.
-	BackendCColl
+	BackendCColl = core.CColl
 	// BackendHZCCL is the homomorphic co-design: operations run directly
 	// on compressed blocks.
-	BackendHZCCL
+	BackendHZCCL = core.HZ
 )
-
-func (b Backend) String() string {
-	switch b {
-	case BackendMPI:
-		return "MPI"
-	case BackendCColl:
-		return "C-Coll"
-	case BackendHZCCL:
-		return "hZCCL"
-	}
-	return "unknown"
-}
 
 // CollectiveOptions configures the compressed backends.
 type CollectiveOptions struct {
@@ -147,16 +136,6 @@ type CollectiveOptions struct {
 	MultiThread bool
 	MTThreads   int
 	MTSpeedup   float64
-	// Segments > 1 pipelines the C-Coll backend's rounds: each block is
-	// compressed, sent and reduced in that many overlapping pieces.
-	Segments int
-	// Recursive selects Rabenseifner's recursive-halving/doubling
-	// allreduce (log₂N rounds) instead of the ring (N−1 rounds); it wins
-	// once per-message latency matters. Kept for compatibility: it maps
-	// to Algorithm = AlgoRabenseifner for BackendMPI and BackendHZCCL
-	// (the backends that historically supported it) when Algorithm is
-	// unset. New code should set Algorithm directly.
-	Recursive bool
 	// Algorithm selects the collective schedule for Allreduce and
 	// ReduceScatter: AlgoRing (the zero value, the historical behavior),
 	// AlgoRecursiveDoubling, AlgoRabenseifner, AlgoHierarchical, or
@@ -190,7 +169,6 @@ func (o CollectiveOptions) core() core.Options {
 		Mode:       mode,
 		MTThreads:  o.MTThreads,
 		MTSpeedup:  o.MTSpeedup,
-		Segments:   o.Segments,
 		Rates:      o.Rates,
 	}
 }
@@ -302,7 +280,7 @@ func (r *Rank) Allreduce(data []float32, b Backend, opt CollectiveOptions) ([]fl
 	}
 	r.r.BeginOp("allreduce")
 	algo := r.resolveAlgorithm("allreduce", b, opt, len(data))
-	return r.dispatchAllreduce(core.New(opt.core()), b, algo, opt, data)
+	return core.New(opt.core()).Allreduce(r.r, b, algo, data)
 }
 
 // ReduceScatter sums data element-wise across all ranks and returns this
@@ -320,7 +298,7 @@ func (r *Rank) ReduceScatter(data []float32, b Backend, opt CollectiveOptions) (
 	}
 	r.r.BeginOp("reduce_scatter")
 	algo := r.resolveAlgorithm("reduce_scatter", b, opt, len(data))
-	return r.dispatchReduceScatter(core.New(opt.core()), b, algo, opt, data)
+	return core.New(opt.core()).ReduceScatter(r.r, b, algo, data)
 }
 
 // OwnedBlock returns the block index this rank holds after ReduceScatter,

@@ -86,7 +86,7 @@ func (r *Rank) Reduce(data []float32, root int, b Backend, opt CollectiveOptions
 		// The DOC treatment of a rooted reduce degenerates to plain
 		// partial sums plus compressed links; model it as reduce-scatter +
 		// gather of the owned blocks.
-		block, err := c.ReduceScatterCColl(r.r, data)
+		block, err := c.ReduceScatter(r.r, core.CColl, core.AlgoRing, data)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +99,7 @@ func (r *Rank) Reduce(data []float32, root int, b Backend, opt CollectiveOptions
 			k := core.BlockOwned(origin, r.r.N)
 			s, e := core.BlockBounds(len(data), r.r.N, k)
 			if len(vals) != e-s {
-				return nil, fmt.Errorf("hzccl: reduce gather block %d size mismatch", k)
+				return nil, fmt.Errorf("%w: hzccl: reduce gather block %d", core.ErrSizeMismatch, k)
 			}
 			copy(out[s:e], vals)
 		}

@@ -51,7 +51,7 @@ func TestRDAllreduce(t *testing.T) {
 		outs := make([][]float32, nRanks)
 
 		runCluster(t, nRanks, func(r *cluster.Rank) error {
-			out, err := c.AllreducePlainRD(r, rankField(r.ID, n))
+			out, err := c.Allreduce(r, Plain, AlgoRecursiveDoubling, rankField(r.ID, n))
 			outs[r.ID] = out
 			return err
 		})
@@ -67,7 +67,7 @@ func TestRDAllreduce(t *testing.T) {
 		}
 
 		runCluster(t, nRanks, func(r *cluster.Rank) error {
-			out, err := c.AllreduceCCollRD(r, rankField(r.ID, n))
+			out, err := c.Allreduce(r, CColl, AlgoRecursiveDoubling, rankField(r.ID, n))
 			outs[r.ID] = out
 			return err
 		})
@@ -80,7 +80,7 @@ func TestRDAllreduce(t *testing.T) {
 		}
 
 		runCluster(t, nRanks, func(r *cluster.Rank) error {
-			out, _, err := c.AllreduceHZRD(r, rankField(r.ID, n))
+			out, err := c.Allreduce(r, HZ, AlgoRecursiveDoubling, rankField(r.ID, n))
 			outs[r.ID] = out
 			return err
 		})
@@ -137,9 +137,9 @@ func TestHierAllreduce(t *testing.T) {
 		name := tc.topo.String()
 
 		runClusterTopo(t, tc.ranks, tc.topo, func(r *cluster.Rank) error {
-			out, err := c.AllreduceHierPlain(r, rankField(r.ID, n))
+			out, err := c.Allreduce(r, Plain, AlgoHierarchical, rankField(r.ID, n))
 			outs[r.ID] = out
-			block, err2 := c.ReduceScatterHierPlain(r, rankField(r.ID, n))
+			block, err2 := c.ReduceScatter(r, Plain, AlgoHierarchical, rankField(r.ID, n))
 			blocks[r.ID] = block
 			if err == nil {
 				err = err2
@@ -152,9 +152,9 @@ func TestHierAllreduce(t *testing.T) {
 		}
 
 		runClusterTopo(t, tc.ranks, tc.topo, func(r *cluster.Rank) error {
-			out, err := c.AllreduceHierCColl(r, rankField(r.ID, n))
+			out, err := c.Allreduce(r, CColl, AlgoHierarchical, rankField(r.ID, n))
 			outs[r.ID] = out
-			block, err2 := c.ReduceScatterHierCColl(r, rankField(r.ID, n))
+			block, err2 := c.ReduceScatter(r, CColl, AlgoHierarchical, rankField(r.ID, n))
 			blocks[r.ID] = block
 			if err == nil {
 				err = err2
@@ -167,9 +167,9 @@ func TestHierAllreduce(t *testing.T) {
 		}
 
 		runClusterTopo(t, tc.ranks, tc.topo, func(r *cluster.Rank) error {
-			out, _, err := c.AllreduceHierHZ(r, rankField(r.ID, n))
+			out, err := c.Allreduce(r, HZ, AlgoHierarchical, rankField(r.ID, n))
 			outs[r.ID] = out
-			block, _, err2 := c.ReduceScatterHierHZ(r, rankField(r.ID, n))
+			block, err2 := c.ReduceScatter(r, HZ, AlgoHierarchical, rankField(r.ID, n))
 			blocks[r.ID] = block
 			if err == nil {
 				err = err2

@@ -68,7 +68,7 @@ func TestAllreduceBackendsMatchExactSum(t *testing.T) {
 
 				outs := make([][]float32, nRanks)
 				runCluster(t, nRanks, func(r *cluster.Rank) error {
-					out, err := c.AllreducePlain(r, rankField(r.ID, n))
+					out, err := c.Allreduce(r, Plain, AlgoRing, rankField(r.ID, n))
 					outs[r.ID] = out
 					return err
 				})
@@ -82,7 +82,7 @@ func TestAllreduceBackendsMatchExactSum(t *testing.T) {
 				}
 
 				runCluster(t, nRanks, func(r *cluster.Rank) error {
-					out, err := c.AllreduceCColl(r, rankField(r.ID, n))
+					out, err := c.Allreduce(r, CColl, AlgoRing, rankField(r.ID, n))
 					outs[r.ID] = out
 					return err
 				})
@@ -91,7 +91,7 @@ func TestAllreduceBackendsMatchExactSum(t *testing.T) {
 				}
 
 				runCluster(t, nRanks, func(r *cluster.Rank) error {
-					out, _, err := c.AllreduceHZ(r, rankField(r.ID, n))
+					out, err := c.Allreduce(r, HZ, AlgoRing, rankField(r.ID, n))
 					outs[r.ID] = out
 					return err
 				})
@@ -108,7 +108,7 @@ func TestAllRanksAgree(t *testing.T) {
 	c := New(Options{ErrorBound: testEB})
 	outs := make([][]float32, nRanks)
 	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		out, _, err := c.AllreduceHZ(r, rankField(r.ID, n))
+		out, err := c.Allreduce(r, HZ, AlgoRing, rankField(r.ID, n))
 		outs[r.ID] = out
 		return err
 	})
@@ -144,21 +144,21 @@ func TestReduceScatterBackendsAgree(t *testing.T) {
 
 	blocks := make([][]float32, nRanks)
 	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		b, err := c.ReduceScatterPlain(r, rankField(r.ID, n))
+		b, err := c.ReduceScatter(r, Plain, AlgoRing, rankField(r.ID, n))
 		blocks[r.ID] = b
 		return err
 	})
 	check("plain", blocks)
 
 	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		b, err := c.ReduceScatterCColl(r, rankField(r.ID, n))
+		b, err := c.ReduceScatter(r, CColl, AlgoRing, rankField(r.ID, n))
 		blocks[r.ID] = b
 		return err
 	})
 	check("ccoll", blocks)
 
 	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		b, _, err := c.ReduceScatterHZ(r, rankField(r.ID, n))
+		b, err := c.ReduceScatter(r, HZ, AlgoRing, rankField(r.ID, n))
 		blocks[r.ID] = b
 		return err
 	})
@@ -169,7 +169,7 @@ func TestSingleRank(t *testing.T) {
 	c := New(Options{ErrorBound: testEB})
 	data := rankField(0, 500)
 	runCluster(t, 1, func(r *cluster.Rank) error {
-		out, err := c.AllreducePlain(r, data)
+		out, err := c.Allreduce(r, Plain, AlgoRing, data)
 		if err != nil {
 			return err
 		}
@@ -178,7 +178,7 @@ func TestSingleRank(t *testing.T) {
 				return fmt.Errorf("single-rank plain allreduce altered data")
 			}
 		}
-		out, _, err = c.AllreduceHZ(r, data)
+		out, err = c.Allreduce(r, HZ, AlgoRing, data)
 		if err != nil {
 			return err
 		}
@@ -187,7 +187,7 @@ func TestSingleRank(t *testing.T) {
 				return fmt.Errorf("single-rank hz allreduce error %g", d)
 			}
 		}
-		block, err := c.ReduceScatterPlain(r, data)
+		block, err := c.ReduceScatter(r, Plain, AlgoRing, data)
 		if err != nil {
 			return err
 		}
@@ -205,7 +205,7 @@ func TestUnevenBlockSizes(t *testing.T) {
 	c := New(Options{ErrorBound: testEB})
 	outs := make([][]float32, nRanks)
 	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		out, _, err := c.AllreduceHZ(r, rankField(r.ID, n))
+		out, err := c.Allreduce(r, HZ, AlgoRing, rankField(r.ID, n))
 		outs[r.ID] = out
 		return err
 	})
@@ -223,7 +223,7 @@ func TestHZNaiveMatchesHZValues(t *testing.T) {
 	fused := make([][]float32, nRanks)
 	naive := make([][]float32, nRanks)
 	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		out, _, err := c.AllreduceHZ(r, rankField(r.ID, n))
+		out, err := c.Allreduce(r, HZ, AlgoRing, rankField(r.ID, n))
 		fused[r.ID] = out
 		return err
 	})
@@ -275,11 +275,11 @@ func TestRelativePerformanceShape(t *testing.T) {
 	}
 
 	tCColl := run(func(r *cluster.Rank) error {
-		_, err := c.AllreduceCColl(r, smoothRankField(r.ID, n))
+		_, err := c.Allreduce(r, CColl, AlgoRing, smoothRankField(r.ID, n))
 		return err
 	})
 	tHZ := run(func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, smoothRankField(r.ID, n))
+		_, err := c.Allreduce(r, HZ, AlgoRing, smoothRankField(r.ID, n))
 		return err
 	})
 	tNaive := run(func(r *cluster.Rank) error {
@@ -300,7 +300,7 @@ func TestBreakdownCategories(t *testing.T) {
 	const nRanks, n = 4, 1 << 14
 	c := New(Options{ErrorBound: testEB})
 	res := runCluster(t, nRanks, func(r *cluster.Rank) error {
-		_, err := c.AllreduceCColl(r, rankField(r.ID, n))
+		_, err := c.Allreduce(r, CColl, AlgoRing, rankField(r.ID, n))
 		return err
 	})
 	if res.Breakdown[cluster.CatHPR] != 0 {
@@ -312,7 +312,7 @@ func TestBreakdownCategories(t *testing.T) {
 		}
 	}
 	res = runCluster(t, nRanks, func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, rankField(r.ID, n))
+		_, err := c.Allreduce(r, HZ, AlgoRing, rankField(r.ID, n))
 		return err
 	})
 	if res.Breakdown[cluster.CatCPT] != 0 {
@@ -329,7 +329,7 @@ func TestPipelineStatsAggregation(t *testing.T) {
 	var mu sync.Mutex
 	total := hzdyn.Stats{}
 	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		_, st, err := c.AllreduceHZ(r, rankField(r.ID, n))
+		_, st, err := c.AllreduceHZNaive(r, rankField(r.ID, n))
 		if err != nil {
 			return err
 		}

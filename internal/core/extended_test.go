@@ -319,7 +319,7 @@ func TestSegmentedMatchesUnsegmented(t *testing.T) {
 		return err
 	})
 	runCluster(t, nRanks, func(r *cluster.Rank) error {
-		out, err := plain.AllreduceCColl(r, rankField(r.ID, n))
+		out, err := plain.Allreduce(r, CColl, AlgoRing, rankField(r.ID, n))
 		b[r.ID] = out
 		return err
 	})

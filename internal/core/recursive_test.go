@@ -27,17 +27,17 @@ func TestActiveRanks(t *testing.T) {
 
 func TestFrameBlobs(t *testing.T) {
 	blobs := [][]byte{{1, 2, 3}, {}, {9}}
-	got, err := unframeBlobs(frameBlobs(blobs))
+	got, err := unframeBlobs(frameBlobs(blobs), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || string(got[0]) != "\x01\x02\x03" || len(got[1]) != 0 || got[2][0] != 9 {
 		t.Fatalf("frame round trip: %v", got)
 	}
-	if _, err := unframeBlobs([]byte{1}); err == nil {
+	if _, err := unframeBlobs([]byte{1}, 1); err == nil {
 		t.Error("short frame accepted")
 	}
-	if _, err := unframeBlobs([]byte{2, 0, 0, 0, 10, 0, 0, 0}); err == nil {
+	if _, err := unframeBlobs([]byte{2, 0, 0, 0, 10, 0, 0, 0}, 2); err == nil {
 		t.Error("truncated frame accepted")
 	}
 }
@@ -50,7 +50,7 @@ func TestRecursiveAllreduceMatchesExactSum(t *testing.T) {
 
 			outs := make([][]float32, nRanks)
 			runCluster(t, nRanks, func(r *cluster.Rank) error {
-				out, err := c.AllreducePlainRecursive(r, rankField(r.ID, n))
+				out, err := c.Allreduce(r, Plain, AlgoRabenseifner, rankField(r.ID, n))
 				outs[r.ID] = out
 				return err
 			})
@@ -66,7 +66,7 @@ func TestRecursiveAllreduceMatchesExactSum(t *testing.T) {
 			}
 
 			runCluster(t, nRanks, func(r *cluster.Rank) error {
-				out, _, err := c.AllreduceHZRecursive(r, rankField(r.ID, n))
+				out, err := c.Allreduce(r, HZ, AlgoRabenseifner, rankField(r.ID, n))
 				outs[r.ID] = out
 				return err
 			})
@@ -100,11 +100,11 @@ func TestRecursiveBeatsRingAtHighLatency(t *testing.T) {
 		return res.Time
 	}
 	tRing := run(func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, rankField(r.ID, n))
+		_, err := c.Allreduce(r, HZ, AlgoRing, rankField(r.ID, n))
 		return err
 	})
 	tRec := run(func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZRecursive(r, rankField(r.ID, n))
+		_, err := c.Allreduce(r, HZ, AlgoRabenseifner, rankField(r.ID, n))
 		return err
 	})
 	if tRec >= tRing {
@@ -116,7 +116,7 @@ func TestRecursiveHZBreakdown(t *testing.T) {
 	const nRanks = 8
 	c := New(Options{ErrorBound: testEB})
 	res := runCluster(t, nRanks, func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZRecursive(r, rankField(r.ID, 4096))
+		_, err := c.Allreduce(r, HZ, AlgoRabenseifner, rankField(r.ID, 4096))
 		return err
 	})
 	if res.Breakdown[cluster.CatCPT] != 0 {
@@ -175,11 +175,11 @@ func TestBaselineOrdering(t *testing.T) {
 		return err
 	})
 	tCColl := run(func(r *cluster.Rank) error {
-		_, err := c.AllreduceCColl(r, smoothRankField(r.ID, n))
+		_, err := c.Allreduce(r, CColl, AlgoRing, smoothRankField(r.ID, n))
 		return err
 	})
 	tHZ := run(func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, smoothRankField(r.ID, n))
+		_, err := c.Allreduce(r, HZ, AlgoRing, smoothRankField(r.ID, n))
 		return err
 	})
 	if !(tHZ < tCColl && tCColl < tP2P) {

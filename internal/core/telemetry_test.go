@@ -21,7 +21,7 @@ func TestAllreduceHZTelemetry(t *testing.T) {
 
 	before := telemetry.Capture()
 	_, err := cluster.Run(cluster.Config{Ranks: nodes}, func(r *cluster.Rank) error {
-		_, _, err := c.AllreduceHZ(r, data)
+		_, err := c.Allreduce(r, HZ, AlgoRing, data)
 		return err
 	})
 	if err != nil {
@@ -80,7 +80,7 @@ func TestAllreducePlainCountsRawBytes(t *testing.T) {
 	c := New(Options{ErrorBound: 1e-3})
 	before := telemetry.Capture()
 	_, err := cluster.Run(cluster.Config{Ranks: 3}, func(r *cluster.Rank) error {
-		_, err := c.AllreducePlain(r, data)
+		_, err := c.Allreduce(r, Plain, AlgoRing, data)
 		return err
 	})
 	if err != nil {

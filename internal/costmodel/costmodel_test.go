@@ -148,7 +148,7 @@ func TestModelMatchesSimulator(t *testing.T) {
 	var best *cluster.Result
 	for trial := 0; trial < 3; trial++ {
 		res, err := cluster.Run(cfg, func(r *cluster.Rank) error {
-			_, _, err := c.AllreduceHZ(r, field(r.ID))
+			_, err := c.Allreduce(r, core.HZ, core.AlgoRing, field(r.ID))
 			return err
 		})
 		if err != nil {

@@ -83,9 +83,9 @@ func TestBoundsHoldEmpirically(t *testing.T) {
 			var out []float32
 			var err error
 			if kind == "hz" {
-				out, _, err = c.AllreduceHZ(r, fields[r.ID])
+				out, err = c.Allreduce(r, core.HZ, core.AlgoRing, fields[r.ID])
 			} else {
-				out, err = c.AllreduceCColl(r, fields[r.ID])
+				out, err = c.Allreduce(r, core.CColl, core.AlgoRing, fields[r.ID])
 			}
 			if err != nil {
 				return err

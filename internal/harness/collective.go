@@ -42,6 +42,17 @@ func KernelName(k int) string {
 	return fmt.Sprintf("kernel%d", k)
 }
 
+// kernelBackend returns the collective backend a kernel runs.
+func kernelBackend(k int) core.Backend {
+	switch k {
+	case KernelMPI:
+		return core.Plain
+	case KernelCCollMT, KernelCCollST:
+		return core.CColl
+	}
+	return core.HZ
+}
+
 // Kernels lists all kernel indices in artifact order.
 var Kernels = []int{KernelMPI, KernelCCollMT, KernelHZMT, KernelCCollST, KernelHZST}
 
@@ -236,19 +247,10 @@ func runKernel(opt Options, op collectiveOp, kernel, nodes int, kind fieldKind, 
 		var data []float32
 		r.Quiesce(func() { data = collectiveField(kind, n, r.ID, nodes) })
 		var err error
-		switch {
-		case op == opReduceScatter && kernel == KernelMPI:
-			_, err = c.ReduceScatterPlain(r, data)
-		case op == opReduceScatter && (kernel == KernelCCollMT || kernel == KernelCCollST):
-			_, err = c.ReduceScatterCColl(r, data)
-		case op == opReduceScatter:
-			_, _, err = c.ReduceScatterHZ(r, data)
-		case kernel == KernelMPI:
-			_, err = c.AllreducePlain(r, data)
-		case kernel == KernelCCollMT || kernel == KernelCCollST:
-			_, err = c.AllreduceCColl(r, data)
-		default:
-			_, _, err = c.AllreduceHZ(r, data)
+		if op == opReduceScatter {
+			_, err = c.ReduceScatter(r, kernelBackend(kernel), core.AlgoRing, data)
+		} else {
+			_, err = c.Allreduce(r, kernelBackend(kernel), core.AlgoRing, data)
 		}
 		return err
 	}

@@ -46,16 +46,7 @@ func runStack(opt Options, kernel int, scene *imagestack.Image, eb float64, rate
 	body := func(r *cluster.Rank) error {
 		var exp *imagestack.Image
 		r.Quiesce(func() { exp = imagestack.Exposure(scene, r.ID, stackNoiseSigma) })
-		var stacked []float32
-		var err error
-		switch kernel {
-		case KernelMPI:
-			stacked, err = c.AllreducePlain(r, exp.Pix)
-		case KernelCCollMT, KernelCCollST:
-			stacked, err = c.AllreduceCColl(r, exp.Pix)
-		default:
-			stacked, _, err = c.AllreduceHZ(r, exp.Pix)
-		}
+		stacked, err := c.Allreduce(r, kernelBackend(kernel), core.AlgoRing, exp.Pix)
 		if err != nil {
 			return err
 		}
