@@ -106,6 +106,35 @@ func goldenVectors() []goldenVector {
 				return len(got), err
 			},
 		},
+		// Multi-chunk 2D/3D/float64 containers pin the chunk table and
+		// the per-chunk row/plane partition of every format version.
+		{
+			name:   "2d-ramp-3t",
+			params: Params{ErrorBound: 1e-2, Threads: 3},
+			compress: func(p Params) ([]byte, error) {
+				return Compress2D(twoD, 12, 16, p)
+			},
+			decode: f32(twoD),
+		},
+		{
+			name:   "3d-wave-3t",
+			params: Params{ErrorBound: 1e-2, Threads: 3},
+			compress: func(p Params) ([]byte, error) {
+				return Compress3D(threeD, 4, 5, 6, p)
+			},
+			decode: f32(threeD),
+		},
+		{
+			name:   "f64-cos-3t",
+			params: Params{ErrorBound: 1e-4, Threads: 3},
+			compress: func(p Params) ([]byte, error) {
+				return Compress64(d64, p)
+			},
+			decode: func(comp []byte) (int, error) {
+				got, err := Decompress64(comp)
+				return len(got), err
+			},
+		},
 	}
 }
 
