@@ -10,7 +10,7 @@ test:
 
 # check runs the hygiene gate: gofmt, go vet, and a race-detector pass
 # over the packages with concurrent hot paths (telemetry counters, the
-# cluster runtime, the parallel reducers).
+# cluster runtime, the chunk-concurrent codec and reducer).
 check:
 	sh scripts/check.sh
 

@@ -868,45 +868,6 @@ func BenchmarkSteadyStateSzxDecompressInto(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelAdd measures the sharded homomorphic-add executor on
-// the pipeline-④-heavy CESM-ATM pair across worker counts. On a
-// single-core machine the win is bounded; the benchmark exists to show
-// the sharding overhead stays small and the output path scales.
-func BenchmarkParallelAdd(b *testing.B) {
-	x, y := benchPair(b, "CESM-ATM")
-	eb := metrics.AbsBound(1e-3, x)
-	if e2 := metrics.AbsBound(1e-3, y); e2 > eb {
-		eb = e2
-	}
-	p := fzlight.Params{ErrorBound: eb}
-	cx, err := fzlight.Compress(x, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cy, err := fzlight.Compress(y, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := make([]byte, hzdyn.AddBound(len(cx), len(cy)))
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < 4; i++ {
-				if _, _, err := hzdyn.AddIntoParallel(dst, cx, cy, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(4 * len(x)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := hzdyn.AddIntoParallel(dst, cx, cy, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCPRP2P reproduces the paper's §III-A baseline ladder:
 // per-message compression (CPR-P2P) vs the C-Coll co-design vs hZCCL.
 func BenchmarkAblationCPRP2P(b *testing.B) {

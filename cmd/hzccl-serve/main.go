@@ -11,8 +11,9 @@
 //
 // Rank 0 is the scheduler and client front door: it serves the JSON-lines
 // submission protocol on -client-listen (default a loopback ephemeral
-// port, printed on stdout at startup). Submit jobs with
-// `hzccl-collective -submit ADDR ...` or the hzccl/serve client package.
+// port, printed on stdout at startup). This binary is the only daemon
+// entry point; submit jobs with `hzccl-collective -submit ADDR ...` or the
+// hzccl/serve client package.
 //
 // The submission queue is bounded (-queue-depth): a submit landing on a
 // full queue is rejected immediately with a typed queue-full error

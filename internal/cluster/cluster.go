@@ -634,16 +634,13 @@ func (r *Rank) Time(cat Category, f func()) {
 // multi-threaded compression whose wall time cannot be observed on a
 // single-core build machine.
 func (r *Rank) TimeScaled(cat Category, scale float64, f func()) {
-	serialize := !r.c.cfg.ParallelCompute
-	if serialize {
-		r.c.compute.Lock()
-	}
-	t0 := time.Now()
-	f()
-	dt := time.Since(t0).Seconds()
-	if serialize {
-		r.c.compute.Unlock()
-	}
+	var t0 time.Time
+	var dt float64
+	r.Quiesce(func() {
+		t0 = time.Now()
+		f()
+		dt = time.Since(t0).Seconds()
+	})
 	// Bridge the real measurement into the trace: the wall timeline shows
 	// where the work actually ran, alongside the virtual schedule it is
 	// charged into.
@@ -657,14 +654,14 @@ func (r *Rank) TimeScaled(cat Category, scale float64, f func()) {
 // virtual time. Use it for real work that has no modeled cost (input
 // staging, result assembly) so it cannot preempt — and pollute — another
 // rank's measured Time section.
+// The lock is released even if f panics, so the other ranks' compute
+// sections still run and Run can report the panic.
 func (r *Rank) Quiesce(f func()) {
-	if r.c.cfg.ParallelCompute {
-		f()
-		return
+	if !r.c.cfg.ParallelCompute {
+		r.c.compute.Lock()
+		defer r.c.compute.Unlock()
 	}
-	r.c.compute.Lock()
 	f()
-	r.c.compute.Unlock()
 }
 
 // Send transmits data to peer `to`. The payload is copied, so the caller

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -230,6 +231,36 @@ func TestRankPanicRecovered(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("panic not converted to error")
+	}
+}
+
+// A panic inside a compute section must release the cluster-wide compute
+// lock: otherwise every other rank blocks in Lock forever and Run never
+// reports the panic.
+func TestPanicUnderComputeLockReleasesLock(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(Config{Ranks: 3}, func(r *Rank) error {
+			switch r.ID {
+			case 0:
+				r.Quiesce(func() { panic("in Quiesce") })
+			case 1:
+				r.TimeScaled(CatCPR, 1, func() { panic("in TimeScaled") })
+			default:
+				r.Quiesce(func() {})
+				r.Time(CatCPR, func() {})
+			}
+			return nil
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("Run = %v, want a rank panic error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return within 10s: a panicking rank kept the compute lock")
 	}
 }
 

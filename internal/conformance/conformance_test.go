@@ -118,11 +118,11 @@ func offByOneAdd(a, b []byte) ([]byte, hzdyn.Stats, error) {
 	if err != nil {
 		return sum, st, err
 	}
-	_, offs, perr := fzlight.ChunkOffsets(sum)
+	h, perr := fzlight.ParseHeaderLite(sum)
 	if perr != nil {
 		return nil, st, perr
 	}
-	o := offs[0]
+	o := h.PayloadStart()
 	v := int32(uint32(sum[o]) | uint32(sum[o+1])<<8 | uint32(sum[o+2])<<16 | uint32(sum[o+3])<<24)
 	u := uint32(v + 1)
 	sum[o], sum[o+1], sum[o+2], sum[o+3] = byte(u), byte(u>>8), byte(u>>16), byte(u>>24)

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"hzccl/internal/bufpool"
 )
@@ -121,7 +120,7 @@ func worstChunkBytes(n, B int) int {
 // Compress compresses float32 data under the given parameters and returns
 // a self-describing fZ-light container.
 func Compress(data []float32, p Params) ([]byte, error) {
-	return compressAny(data, p, false)
+	return compressAny(data, p, func(p Params) HeaderLite { return p.header1D(len(data), false) })
 }
 
 // Compress64 compresses float64 data. The container records the source
@@ -129,16 +128,19 @@ func Compress(data []float32, p Params) ([]byte, error) {
 // either precision are mutually homomorphic only with their own kind (the
 // geometry check includes the element type).
 func Compress64(data []float64, p Params) ([]byte, error) {
-	return compressAny(data, p, true)
+	return compressAny(data, p, func(p Params) HeaderLite { return p.header1D(len(data), true) })
 }
 
-func compressAny[T Float](data []T, p Params, wide bool) ([]byte, error) {
+// compressAny validates p, then compresses data into an exact-sized
+// container with the geometry geom derives from the defaulted p.
+func compressAny[T Float](data []T, p Params, geom func(Params) HeaderLite) ([]byte, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	buf := bufpool.Bytes(CompressBound(len(data), p))
-	n, err := compressIntoAny(buf, data, p, wide)
+	h := geom(p)
+	buf := bufpool.Bytes(h.Bound())
+	n, err := compressInto(buf, data, h)
 	if err != nil {
 		bufpool.PutBytes(buf)
 		return nil, err
@@ -149,31 +151,35 @@ func compressAny[T Float](data []T, p Params, wide bool) ([]byte, error) {
 	return out, nil
 }
 
-// compressChunkCount is the effective chunk count for n elements under p:
-// Params.Threads clamped so no chunk is empty.
-func compressChunkCount(n int, p Params) int {
-	nc := p.Threads
-	if nc > n {
-		nc = n
-	}
+// header is the geometry of compressing n elements under p into a
+// container of the given version whose chunks partition units rows or
+// planes: Params.Threads chunks, clamped so no chunk is empty.
+func (p Params) header(version, n, units int) HeaderLite {
+	nc := min(p.Threads, units)
 	if nc < 1 {
 		nc = 1
 	}
-	return nc
+	return HeaderLite{
+		ErrorBound: p.ErrorBound,
+		BlockSize:  p.BlockSize,
+		NumChunks:  nc,
+		DataLen:    n,
+		Version:    version,
+	}
+}
+
+// header1D is the version-1 geometry of n elements.
+func (p Params) header1D(n int, wide bool) HeaderLite {
+	h := p.header(1, n, n)
+	h.Float64 = wide
+	return h
 }
 
 // CompressBound returns the smallest dst length guaranteed to be
 // sufficient for CompressInto of n elements under p (header plus the
 // worst-case encoding of every chunk).
 func CompressBound(n int, p Params) int {
-	p = p.withDefaults()
-	nc := compressChunkCount(n, p)
-	total := headerBytes(nc)
-	for i := 0; i < nc; i++ {
-		s, e := ChunkBounds(n, nc, i)
-		total += worstChunkBytes(e-s, p.BlockSize)
-	}
-	return total
+	return p.withDefaults().header1D(n, false).Bound()
 }
 
 // CompressInto compresses float32 data into dst, which must hold at least
@@ -196,78 +202,71 @@ func compressIntoAny[T Float](dst []byte, data []T, p Params, wide bool) (int, e
 	if err := p.validate(); err != nil {
 		return 0, err
 	}
-	if need := CompressBound(len(data), p); len(dst) < need {
+	h := p.header1D(len(data), wide)
+	if need := h.Bound(); len(dst) < need {
 		return 0, fmt.Errorf("%w: CompressInto needs %d bytes, got %d", ErrShortOutput, need, len(dst))
 	}
-	numChunks := compressChunkCount(len(data), p)
-	hdr := headerBytes(numChunks)
-	recip := 1 / (2 * p.ErrorBound)
-	h := HeaderLite{
-		ErrorBound: p.ErrorBound,
-		BlockSize:  p.BlockSize,
-		NumChunks:  numChunks,
-		DataLen:    len(data),
-		Float64:    wide,
-	}
+	return compressInto(dst, data, h)
+}
 
-	var total int
-	if numChunks == 1 {
+// compressInto writes the container h describes, holding data, into dst
+// (at least h.Bound() bytes) and returns its size.
+func compressInto[T Float](dst []byte, data []T, h HeaderLite) (int, error) {
+	recip := 1 / (2 * h.ErrorBound)
+	hdr := h.PayloadStart()
+	var n int
+	var err error
+	if h.NumChunks == 1 {
 		sp := mChunkEncodeNS.Start()
-		n, err := compressChunk(dst[hdr:], data, recip, p.BlockSize)
+		n, err = encodeChunk(h, dst[hdr:], data, recip)
 		sp.End()
-		if err != nil {
-			mCompressErrs.Inc()
-			return 0, err
+		if err == nil {
+			h.Marshal(dst)
+			h.PutChunkSize(dst, 0, n)
+			n += hdr
 		}
-		MarshalHeaderLite(dst, h)
-		PutChunkSize(dst, 0, n)
-		total = n
 	} else {
-		// Every chunk encodes in parallel at its worst-case offset in dst;
-		// the payloads are then compacted left so chunks abut (copy is a
-		// memmove, safe for the overlapping forward shift).
-		offs := make([]int, numChunks+1)
-		sizes := make([]int, numChunks)
-		errs := make([]error, numChunks)
-		offs[0] = hdr
-		for i := 0; i < numChunks; i++ {
-			s, e := ChunkBounds(len(data), numChunks, i)
-			offs[i+1] = offs[i] + worstChunkBytes(e-s, p.BlockSize)
-		}
-		// Capture the block size as a plain int: closing over p would move
-		// the whole Params to the heap and cost the single-chunk fast path
-		// its zero-allocation guarantee.
-		B := p.BlockSize
-		var wg sync.WaitGroup
-		wg.Add(numChunks)
-		for i := 0; i < numChunks; i++ {
-			go func(i int) {
-				defer wg.Done()
-				s, e := ChunkBounds(len(data), numChunks, i)
-				sp := mChunkEncodeNS.Start()
-				sizes[i], errs[i] = compressChunk(dst[offs[i]:offs[i+1]], data[s:e], recip, B)
-				sp.End()
-			}(i)
-		}
-		wg.Wait()
-		MarshalHeaderLite(dst, h)
-		o := hdr
-		for i := 0; i < numChunks; i++ {
-			if errs[i] != nil {
-				mCompressErrs.Inc()
-				return 0, errs[i]
-			}
-			copy(dst[o:], dst[offs[i]:offs[i]+sizes[i]])
-			PutChunkSize(dst, i, sizes[i])
-			o += sizes[i]
-		}
-		total = o - hdr
+		n, err = WriteChunks(dst, h, nil, func(i int, out []byte) (int, error) {
+			s, e := h.ElemRange(i)
+			sp := mChunkEncodeNS.Start()
+			defer sp.End()
+			return encodeChunk(h, out, data[s:e], recip)
+		})
+	}
+	if err != nil {
+		mCompressErrs.Inc()
+		return 0, err
 	}
 	mCompressCalls.Inc()
-	mCompressRaw.Add(int64(len(data) * elemBytes(wide)))
-	mCompressOut.Add(int64(hdr + total))
-	mCompressOutlier.Add(int64(numChunks)) // one raw outlier per chunk
-	return hdr + total, nil
+	mCompressRaw.Add(int64(len(data) * elemBytes(h.Float64)))
+	mCompressOut.Add(int64(n))
+	mCompressOutlier.Add(int64(h.NumChunks)) // one raw outlier per chunk
+	return n, nil
+}
+
+// encodeChunk encodes one chunk of a container with h's geometry.
+func encodeChunk[T Float](h HeaderLite, dst []byte, data []T, recip float64) (int, error) {
+	if h.Version == 1 {
+		return compressChunk(dst, data, recip, h.BlockSize)
+	}
+	return compressChunkLorenzo(dst, data, h.Width, h.planeHeight(len(data)), recip, h.BlockSize)
+}
+
+// decodeChunk decodes one chunk of a container with h's geometry.
+func decodeChunk[T Float](h HeaderLite, src []byte, dst []T, eb2 float64) error {
+	if h.Version == 1 {
+		return decompressChunk(src, dst, eb2, h.BlockSize)
+	}
+	return decompressChunkLorenzo(src, dst, h.Width, h.planeHeight(len(dst)), eb2, h.BlockSize)
+}
+
+// planeHeight is the plane height a 2D/3D chunk of n elements is coded
+// with: a 2D band of rows is a single plane.
+func (h HeaderLite) planeHeight(n int) int {
+	if h.Version == 2 {
+		return n / h.Width
+	}
+	return h.Height
 }
 
 // compressChunk writes one chunk (outlier + encoded blocks) into dst and
@@ -317,7 +316,7 @@ func compressChunk[T Float](dst []byte, data []T, recip float64, B int) (int, er
 // homomorphic reduction of such containers) and returns the reconstructed
 // values. Use Decompress64 for containers produced by Compress64.
 func Decompress(comp []byte) ([]float32, error) {
-	h, err := ParseHeader(comp)
+	h, err := ParseHeaderLite(comp)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +329,7 @@ func Decompress(comp []byte) ([]float32, error) {
 
 // Decompress64 decodes a float64 container produced by Compress64.
 func Decompress64(comp []byte) ([]float64, error) {
-	h, err := ParseHeader(comp)
+	h, err := ParseHeaderLite(comp)
 	if err != nil {
 		return nil, err
 	}
@@ -348,68 +347,45 @@ var ErrWrongPrecision = errors.New("fzlight: container precision does not match 
 // DecompressInto decodes comp into dst, which must hold at least
 // Header.DataLen elements.
 func DecompressInto(comp []byte, dst []float32) error {
-	h, err := ParseHeader(comp)
-	if err != nil {
-		return err
-	}
-	if h.Float64 {
-		return ErrWrongPrecision
-	}
-	if len(dst) < h.DataLen {
-		return ErrShortOutput
-	}
-	switch h.Version {
-	case 3:
-		return decompress3D(comp, h, dst[:h.DataLen])
-	case 2:
-		return decompress2D(comp, h, dst[:h.DataLen])
-	}
-	return decompressIntoAny(comp, h, dst)
+	return decompressInto(comp, dst, false)
 }
 
 // DecompressInto64 decodes a float64 container into dst.
 func DecompressInto64(comp []byte, dst []float64) error {
-	h, err := ParseHeader(comp)
+	return decompressInto(comp, dst, true)
+}
+
+func decompressInto[T Float](comp []byte, dst []T, wide bool) error {
+	h, err := ParseHeaderLite(comp)
 	if err != nil {
 		return err
 	}
-	if !h.Float64 {
+	if h.Float64 != wide {
 		return ErrWrongPrecision
 	}
 	if len(dst) < h.DataLen {
 		return ErrShortOutput
 	}
-	return decompressIntoAny(comp, h, dst)
-}
-
-func decompressIntoAny[T Float](comp []byte, h *Header, dst []T) error {
-	offs, err := h.chunkOffsets(len(comp))
-	if err != nil {
-		return err
-	}
 	eb2 := 2 * h.ErrorBound
-	errs := make([]error, h.NumChunks)
-	work := func(i int) {
-		start, end := ChunkBounds(h.DataLen, h.NumChunks, i)
-		sp := mChunkDecodeNS.Start()
-		errs[i] = decompressChunk(comp[offs[i]:offs[i+1]], dst[start:end], eb2, h.BlockSize)
-		sp.End()
-	}
 	if h.NumChunks == 1 {
-		work(0)
+		hdr := h.PayloadStart()
+		sp := mChunkDecodeNS.Start()
+		err = decodeChunk(h, comp[hdr:], dst[:h.DataLen], eb2)
+		sp.End()
 	} else {
-		var wg sync.WaitGroup
-		wg.Add(h.NumChunks)
-		for i := 0; i < h.NumChunks; i++ {
-			go func(i int) { defer wg.Done(); work(i) }(i)
-		}
-		wg.Wait()
+		offs := h.Offsets(comp)
+		errs := make([]error, h.NumChunks)
+		forEachChunk(h.NumChunks, func(i int) {
+			s, e := h.ElemRange(i)
+			sp := mChunkDecodeNS.Start()
+			errs[i] = decodeChunk(h, comp[offs[i]:offs[i+1]], dst[s:e], eb2)
+			sp.End()
+		})
+		err = firstErr(errs)
 	}
-	for _, e := range errs {
-		if e != nil {
-			mDecompressErrs.Inc()
-			return e
-		}
+	if err != nil {
+		mDecompressErrs.Inc()
+		return err
 	}
 	mDecompressCalls.Inc()
 	mDecompressRaw.Add(int64(h.DataLen * elemBytes(h.Float64)))

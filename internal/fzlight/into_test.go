@@ -84,7 +84,7 @@ func TestHeaderLiteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := HeaderLite{ErrorBound: 1e-3, BlockSize: DefaultBlockSize, NumChunks: 3, DataLen: 4097}
+	want := HeaderLite{ErrorBound: 1e-3, BlockSize: DefaultBlockSize, NumChunks: 3, DataLen: 4097, Version: 1}
 	if h != want {
 		t.Fatalf("ParseHeaderLite = %+v, want %+v", h, want)
 	}
@@ -98,25 +98,55 @@ func TestHeaderLiteRoundTrip(t *testing.T) {
 			total, len(comp)-h.PayloadStart())
 	}
 	dst := make([]byte, h.PayloadStart())
-	MarshalHeaderLite(dst, h)
+	h.Marshal(dst)
 	for i := 0; i < h.NumChunks; i++ {
-		PutChunkSize(dst, i, h.ChunkSize(comp, i))
+		h.PutChunkSize(dst, i, h.ChunkSize(comp, i))
 	}
 	if !bytes.Equal(dst, comp[:h.PayloadStart()]) {
-		t.Fatal("MarshalHeaderLite does not reproduce the container header")
+		t.Fatal("Marshal does not reproduce the container header")
 	}
 }
 
-// The lite parser is 1D-only: 2D containers must fail with ErrBadVersion
-// so callers can fall back to the allocating path.
-func TestHeaderLiteRejects2D(t *testing.T) {
+// The lite header covers every version: 2D and 3D containers parse with
+// their dimensions, re-marshal to their own header bytes, and an unknown
+// version still fails with ErrBadVersion.
+func TestHeaderLiteCoversAllVersions(t *testing.T) {
 	data := smoothField(64*64, 6)
-	comp, err := Compress2D(data, 64, 64, Params{ErrorBound: 1e-3})
+	comp2, err := Compress2D(data, 64, 64, Params{ErrorBound: 1e-3, Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseHeaderLite(comp); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("2D container: got %v, want ErrBadVersion", err)
+	comp3, err := Compress3D(data, 4, 16, 64, Params{ErrorBound: 1e-3, Threads: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		comp []byte
+		want HeaderLite
+	}{
+		{comp2, HeaderLite{ErrorBound: 1e-3, BlockSize: DefaultBlockSize, NumChunks: 3, DataLen: 64 * 64, Version: 2, Width: 64}},
+		{comp3, HeaderLite{ErrorBound: 1e-3, BlockSize: DefaultBlockSize, NumChunks: 3, DataLen: 64 * 64, Version: 3, Width: 64, Height: 16}},
+	} {
+		h, err := ParseHeaderLite(c.comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != c.want {
+			t.Fatalf("ParseHeaderLite = %+v, want %+v", h, c.want)
+		}
+		dst := make([]byte, h.PayloadStart())
+		h.Marshal(dst)
+		for i := 0; i < h.NumChunks; i++ {
+			h.PutChunkSize(dst, i, h.ChunkSize(c.comp, i))
+		}
+		if !bytes.Equal(dst, c.comp[:h.PayloadStart()]) {
+			t.Fatalf("version %d: Marshal does not reproduce the container header", h.Version)
+		}
+	}
+	bad := append([]byte(nil), comp2...)
+	bad[4] = 4
+	if _, err := ParseHeaderLite(bad); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("version 4: got %v, want ErrBadVersion", err)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestHeader3RoundTrip(t *testing.T) {
 	}
 	prev := 0
 	for i := 0; i < h.NumChunks; i++ {
-		s, e := ChunkElemRange(h, i)
+		s, e := h.ElemRange(i)
 		if s != prev || (e-s)%(8*10) != 0 {
 			t.Fatalf("chunk %d range [%d,%d)", i, s, e)
 		}

@@ -114,7 +114,7 @@ func TestHeader2RoundTrip(t *testing.T) {
 	// chunk element ranges cover the data in row multiples
 	prev := 0
 	for i := 0; i < h.NumChunks; i++ {
-		s, e := ChunkElemRange(h, i)
+		s, e := h.ElemRange(i)
 		if s != prev || (e-s)%30 != 0 {
 			t.Fatalf("chunk %d range [%d,%d)", i, s, e)
 		}

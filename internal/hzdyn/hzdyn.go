@@ -39,7 +39,6 @@ var (
 	mAddCalls     = telemetry.C("hzdyn.add.calls")
 	mBlocks       = telemetry.C("hzdyn.blocks")
 	mOverflow     = telemetry.C("hzdyn.overflow_fallbacks")
-	mParallelAdds = telemetry.C("hzdyn.parallel_adds")
 	mPipelineHist = telemetry.H("hzdyn.pipeline_case", telemetry.LinearBuckets(1, 1, 4))
 )
 
@@ -131,230 +130,18 @@ func add(a, b []byte, dynamic bool) ([]byte, Stats, error) {
 
 // AddInto homomorphically sums streams a and b into dst, which must hold
 // at least AddBound(len(a), len(b)) bytes, and returns the container size
-// plus pipeline-selection statistics. It is the reusable-buffer form of
-// Add: for 1D containers the steady state performs zero heap allocations —
-// header parsing is stack-only (fzlight.HeaderLite) and all per-chunk
-// scratch comes from bufpool.
+// plus pipeline-selection statistics (zero on error). It is the
+// reusable-buffer form of Add: for single-chunk containers the steady
+// state performs zero heap allocations — header parsing is stack-only
+// (fzlight.HeaderLite) and all per-chunk scratch comes from bufpool.
 func AddInto(dst, a, b []byte) (int, Stats, error) {
 	return addInto(dst, a, b, true)
-}
-
-// AddParallel is Add with the block work of each chunk sharded across the
-// given number of goroutines. The output is byte-identical to Add (and to
-// AddInto): sharding only changes who computes each block, never what is
-// emitted. workers <= 1 degenerates to the serial path.
-func AddParallel(a, b []byte, workers int) ([]byte, Stats, error) {
-	buf := bufpool.Bytes(AddBound(len(a), len(b)))
-	n, st, err := AddIntoParallel(buf, a, b, workers)
-	if err != nil {
-		bufpool.PutBytes(buf)
-		return nil, st, err
-	}
-	out := make([]byte, n)
-	copy(out, buf[:n])
-	bufpool.PutBytes(buf)
-	return out, st, nil
-}
-
-// AddIntoParallel is AddInto with a goroutine-sharded block executor: a
-// serial marker walk splits each chunk's block sequence into `workers`
-// contiguous shards, every shard reduces independently at its worst-case
-// offset inside dst (an output block never outgrows its two input
-// blocks), and a deterministic left-compaction stitches the shards —
-// so the result is byte-identical to the serial path. 2D/3D containers
-// fall back to the serial reducer.
-func AddIntoParallel(dst, a, b []byte, workers int) (int, Stats, error) {
-	if workers <= 1 {
-		return addInto(dst, a, b, true)
-	}
-	var stats Stats
-	ha, err := fzlight.ParseHeaderLite(a)
-	if err != nil {
-		if errors.Is(err, fzlight.ErrBadVersion) {
-			return addIntoSlow(dst, a, b, true)
-		}
-		return 0, stats, fmt.Errorf("hzdyn: left operand: %w", err)
-	}
-	hb, err := fzlight.ParseHeaderLite(b)
-	if err != nil {
-		return 0, stats, fmt.Errorf("hzdyn: right operand: %w", err)
-	}
-	if ha != hb {
-		return 0, stats, ErrGeometry
-	}
-	if len(dst) < AddBound(len(a), len(b)) {
-		return 0, stats, fzlight.ErrShortOutput
-	}
-	mParallelAdds.Inc()
-	hdr := ha.PayloadStart()
-	nc := ha.NumChunks
-
-	if nc == 1 {
-		n, st, err := addChunkSharded(dst[hdr:], a[hdr:], b[hdr:], ha.DataLen, ha.BlockSize, workers)
-		if err != nil {
-			if errors.Is(err, ErrOverflow) {
-				mOverflow.Inc()
-			}
-			return 0, stats, err
-		}
-		stats.add(st)
-		fzlight.MarshalHeaderLite(dst, ha)
-		fzlight.PutChunkSize(dst, 0, n)
-		recordAdd(stats)
-		return hdr + n, stats, nil
-	}
-
-	// Multi-chunk containers already reduce chunk pairs concurrently;
-	// spread the shard budget across them.
-	per := (workers + nc - 1) / nc
-	offs := make([]int, nc+1)
-	offsA := make([]int, nc+1)
-	offsB := make([]int, nc+1)
-	offs[0], offsA[0], offsB[0] = hdr, hdr, hdr
-	for i := 0; i < nc; i++ {
-		sa, sb := ha.ChunkSize(a, i), hb.ChunkSize(b, i)
-		offsA[i+1] = offsA[i] + sa
-		offsB[i+1] = offsB[i] + sb
-		offs[i+1] = offs[i] + sa + sb
-	}
-	sizes := make([]int, nc)
-	chunkStats := make([]Stats, nc)
-	errs := make([]error, nc)
-	var wg sync.WaitGroup
-	wg.Add(nc)
-	for i := 0; i < nc; i++ {
-		go func(i int) {
-			defer wg.Done()
-			s, e := fzlight.ChunkBounds(ha.DataLen, nc, i)
-			sizes[i], chunkStats[i], errs[i] = addChunkSharded(dst[offs[i]:offs[i+1]],
-				a[offsA[i]:offsA[i+1]], b[offsB[i]:offsB[i+1]], e-s, ha.BlockSize, per)
-		}(i)
-	}
-	wg.Wait()
-	fzlight.MarshalHeaderLite(dst, ha)
-	o := hdr
-	for i := 0; i < nc; i++ {
-		if errs[i] != nil {
-			if errors.Is(errs[i], ErrOverflow) {
-				mOverflow.Inc()
-			}
-			return 0, stats, errs[i]
-		}
-		copy(dst[o:], dst[offs[i]:offs[i]+sizes[i]])
-		fzlight.PutChunkSize(dst, i, sizes[i])
-		o += sizes[i]
-		stats.add(chunkStats[i])
-	}
-	recordAdd(stats)
-	return o, stats, nil
-}
-
-// addChunkSharded is addChunk with the block loop split across `workers`
-// goroutines. The chunk outlier adds at stitch level (it prefixes the
-// chunk, outside every shard); a serial marker walk locates each shard's
-// byte offsets in both inputs; shards then write at their worst-case dst
-// offsets and compact left in order, which makes the output — bytes and
-// accumulated statistics — identical to the serial reducer's.
-func addChunkSharded(dst, a, b []byte, n, B int, workers int) (int, Stats, error) {
-	var st Stats
-	nblocks := (n + B - 1) / B
-	if workers > nblocks {
-		workers = nblocks
-	}
-	if workers <= 1 {
-		return addChunk(dst, a, b, n, B, true)
-	}
-	if len(a) < 4 || len(b) < 4 {
-		return 0, st, fzlight.ErrCorrupt
-	}
-	// Outliers (first quantized value of the chunk) add directly.
-	oa64 := int64(getInt32(a)) + int64(getInt32(b))
-	if oa64 > math.MaxInt32 || oa64 < math.MinInt32 {
-		return 0, st, ErrOverflow
-	}
-	putInt32(dst, int32(oa64))
-	pa, pb := a[4:], b[4:]
-
-	// Serial marker walk: find where each shard's blocks start in both
-	// streams. Shards are contiguous runs of ceil(nblocks/workers) blocks.
-	per := (nblocks + workers - 1) / workers
-	aOff := make([]int, workers+1)
-	bOff := make([]int, workers+1)
-	elemAt := make([]int, workers+1)
-	oa, ob := 0, 0
-	s := 0
-	for k := 0; k < nblocks; k++ {
-		if k == s*per {
-			aOff[s], bOff[s], elemAt[s] = oa, ob, k*B
-			s++
-		}
-		bn := B
-		if (k+1)*B > n {
-			bn = n - k*B
-		}
-		if oa >= len(pa) || ob >= len(pb) {
-			return 0, st, fzlight.ErrCorrupt
-		}
-		sa, err := fzlight.BlockBytes(pa[oa:], bn)
-		if err != nil {
-			return 0, st, err
-		}
-		sb, err := fzlight.BlockBytes(pb[ob:], bn)
-		if err != nil {
-			return 0, st, err
-		}
-		oa += sa
-		ob += sb
-	}
-	if oa != len(pa) || ob != len(pb) {
-		return 0, st, fzlight.ErrCorrupt
-	}
-	workers = s // trailing shards may be empty when per*workers > nblocks
-	aOff[s], bOff[s], elemAt[s] = oa, ob, n
-
-	// Every shard reduces at its worst-case offset: an output block never
-	// outgrows its two input blocks combined, so shard s fits between
-	// woff(s) and woff(s+1).
-	woff := func(s int) int { return 4 + aOff[s] + bOff[s] }
-	sizes := make([]int, workers)
-	shardStats := make([]Stats, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			var oaW, obW int
-			sizes[w], oaW, obW, shardStats[w], errs[w] = addBlockRange(
-				dst[woff(w):woff(w+1)],
-				pa[aOff[w]:aOff[w+1]], pb[bOff[w]:bOff[w+1]],
-				elemAt[w+1]-elemAt[w], B, true)
-			if errs[w] == nil && (oaW != aOff[w+1]-aOff[w] || obW != bOff[w+1]-bOff[w]) {
-				errs[w] = fzlight.ErrCorrupt
-			}
-		}(w)
-	}
-	wg.Wait()
-	o := 4
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return 0, st, errs[w]
-		}
-		copy(dst[o:], dst[woff(w):woff(w)+sizes[w]])
-		o += sizes[w]
-		st.add(shardStats[w])
-	}
-	return o, st, nil
 }
 
 func addInto(dst, a, b []byte, dynamic bool) (int, Stats, error) {
 	var stats Stats
 	ha, err := fzlight.ParseHeaderLite(a)
 	if err != nil {
-		if errors.Is(err, fzlight.ErrBadVersion) {
-			// 2D/3D Lorenzo container: take the pointer-header path.
-			return addIntoSlow(dst, a, b, dynamic)
-		}
 		return 0, stats, fmt.Errorf("hzdyn: left operand: %w", err)
 	}
 	hb, err := fzlight.ParseHeaderLite(b)
@@ -367,135 +154,40 @@ func addInto(dst, a, b []byte, dynamic bool) (int, Stats, error) {
 	if len(dst) < AddBound(len(a), len(b)) {
 		return 0, stats, fzlight.ErrShortOutput
 	}
-	hdr := ha.PayloadStart()
-	nc := ha.NumChunks
-
-	if nc == 1 {
-		n, st, err := addChunk(dst[hdr:], a[hdr:], b[hdr:], ha.DataLen, ha.BlockSize, dynamic)
-		if err != nil {
-			if errors.Is(err, ErrOverflow) {
-				mOverflow.Inc()
-			}
-			return 0, stats, err
+	var n int
+	if ha.NumChunks == 1 {
+		hdr := ha.PayloadStart()
+		n, stats, err = addChunk(dst[hdr:], a[hdr:], b[hdr:], ha.DataLen, ha.BlockSize, dynamic)
+		if err == nil {
+			ha.Marshal(dst)
+			ha.PutChunkSize(dst, 0, n)
+			n += hdr
 		}
-		stats.add(st)
-		fzlight.MarshalHeaderLite(dst, ha)
-		fzlight.PutChunkSize(dst, 0, n)
-		recordAdd(stats)
-		return hdr + n, stats, nil
-	}
-
-	// Multi-chunk: each pair reduces in parallel at its worst-case offset
-	// (the two input chunks' combined size), then the payloads compact
-	// left. The small index slices below are per-call, not per-block; the
-	// zero-allocation guarantee covers the single-chunk configuration the
-	// collectives use.
-	offs := make([]int, nc+1)
-	offsA := make([]int, nc+1)
-	offsB := make([]int, nc+1)
-	offs[0], offsA[0], offsB[0] = hdr, hdr, hdr
-	for i := 0; i < nc; i++ {
-		sa, sb := ha.ChunkSize(a, i), hb.ChunkSize(b, i)
-		offsA[i+1] = offsA[i] + sa
-		offsB[i+1] = offsB[i] + sb
-		offs[i+1] = offs[i] + sa + sb
-	}
-	sizes := make([]int, nc)
-	chunkStats := make([]Stats, nc)
-	errs := make([]error, nc)
-	var wg sync.WaitGroup
-	wg.Add(nc)
-	for i := 0; i < nc; i++ {
-		go func(i int) {
-			defer wg.Done()
-			s, e := fzlight.ChunkBounds(ha.DataLen, nc, i)
-			sizes[i], chunkStats[i], errs[i] = addChunk(dst[offs[i]:offs[i+1]],
-				a[offsA[i]:offsA[i+1]], b[offsB[i]:offsB[i+1]], e-s, ha.BlockSize, dynamic)
-		}(i)
-	}
-	wg.Wait()
-	fzlight.MarshalHeaderLite(dst, ha)
-	o := hdr
-	for i := 0; i < nc; i++ {
-		if errs[i] != nil {
-			if errors.Is(errs[i], ErrOverflow) {
-				mOverflow.Inc()
-			}
-			return 0, stats, errs[i]
-		}
-		copy(dst[o:], dst[offs[i]:offs[i]+sizes[i]])
-		fzlight.PutChunkSize(dst, i, sizes[i])
-		o += sizes[i]
-		stats.add(chunkStats[i])
-	}
-	recordAdd(stats)
-	return o, stats, nil
-}
-
-// addIntoSlow reduces 2D/3D containers (whose chunk geometry needs the
-// full header) through the allocating chunk path, then copies into dst.
-func addIntoSlow(dst, a, b []byte, dynamic bool) (int, Stats, error) {
-	var stats Stats
-	ha, offsA, err := fzlight.ChunkOffsets(a)
-	if err != nil {
-		return 0, stats, fmt.Errorf("hzdyn: left operand: %w", err)
-	}
-	hb, offsB, err := fzlight.ChunkOffsets(b)
-	if err != nil {
-		return 0, stats, fmt.Errorf("hzdyn: right operand: %w", err)
-	}
-	if !fzlight.SameGeometry(ha, hb) {
-		return 0, stats, ErrGeometry
-	}
-
-	nc := ha.NumChunks
-	chunks := make([][]byte, nc)
-	bufs := make([][]byte, nc)
-	chunkStats := make([]Stats, nc)
-	errs := make([]error, nc)
-	work := func(i int) {
-		start, end := fzlight.ChunkElemRange(ha, i)
-		ca := a[offsA[i]:offsA[i+1]]
-		cb := b[offsB[i]:offsB[i+1]]
-		buf := bufpool.Bytes(len(ca) + len(cb))
-		bufs[i] = buf
-		n, st, err := addChunk(buf, ca, cb, end-start, ha.BlockSize, dynamic)
-		chunks[i] = buf[:n]
-		chunkStats[i] = st
-		errs[i] = err
-	}
-	if nc == 1 {
-		work(0)
 	} else {
-		var wg sync.WaitGroup
-		wg.Add(nc)
-		for i := 0; i < nc; i++ {
-			go func(i int) { defer wg.Done(); work(i) }(i)
+		// Each chunk pair reduces into a slot of the two input chunks'
+		// combined size: an output block never outgrows its input pair.
+		offsA, offsB := ha.Offsets(a), hb.Offsets(b)
+		chunkStats := make([]Stats, ha.NumChunks)
+		n, err = fzlight.WriteChunks(dst, ha,
+			func(i int) int { return offsA[i+1] - offsA[i] + offsB[i+1] - offsB[i] },
+			func(i int, out []byte) (int, error) {
+				s, e := ha.ElemRange(i)
+				m, st, err := addChunk(out, a[offsA[i]:offsA[i+1]], b[offsB[i]:offsB[i+1]], e-s, ha.BlockSize, dynamic)
+				chunkStats[i] = st
+				return m, err
+			})
+		for _, st := range chunkStats {
+			stats.add(st)
 		}
-		wg.Wait()
 	}
-
-	out := fzlight.AssembleLike(ha, chunks)
-	for i := range errs {
-		if errs[i] != nil {
-			if errors.Is(errs[i], ErrOverflow) {
-				mOverflow.Inc()
-			}
-			for _, buf := range bufs {
-				bufpool.PutBytes(buf)
-			}
-			return 0, stats, errs[i]
+	if err != nil {
+		if errors.Is(err, ErrOverflow) {
+			mOverflow.Inc()
 		}
-		stats.add(chunkStats[i])
-	}
-	for _, buf := range bufs {
-		bufpool.PutBytes(buf)
-	}
-	if len(dst) < len(out) {
-		return 0, stats, fzlight.ErrShortOutput
+		return 0, Stats{}, err
 	}
 	recordAdd(stats)
-	return copy(dst, out), stats, nil
+	return n, stats, nil
 }
 
 // recordAdd folds one reduction's statistics into the package telemetry.
@@ -510,14 +202,6 @@ func recordAdd(stats Stats) {
 // sumScratchPool recycles the per-chunk scratch of the fused pipeline-④
 // kernel (one Get/Put per chunk, never per block).
 var sumScratchPool = sync.Pool{New: func() any { return new(fzlight.SumScratch32) }}
-
-func worstChunkBytes(n, B int) int {
-	if n == 0 {
-		return 4
-	}
-	nblocks := (n + B - 1) / B
-	return 4 + nblocks*(1+(B+7)/8+8) + 4*n
-}
 
 func addChunk(dst, a, b []byte, n, B int, dynamic bool) (int, Stats, error) {
 	var st Stats
@@ -541,9 +225,8 @@ func addChunk(dst, a, b []byte, n, B int, dynamic bool) (int, Stats, error) {
 }
 
 // addBlockRange reduces a contiguous run of block pairs (no chunk outlier
-// prefix). It is the unit of work of both the serial chunk path and the
-// goroutine-sharded executor: dst receives the packed output blocks, and
-// the returned offsets say how many bytes were written and consumed.
+// prefix): dst receives the packed output blocks, and the returned offsets
+// say how many bytes were written and consumed.
 func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Stats, error) {
 	var st Stats
 	pa := bufpool.Int32s(B)
@@ -665,26 +348,9 @@ func addBlockRange(dst, a, b []byte, n, B int, dynamic bool) (int, int, int, Sta
 func ScaleBound(comp []byte) (int, error) {
 	h, err := fzlight.ParseHeaderLite(comp)
 	if err != nil {
-		if !errors.Is(err, fzlight.ErrBadVersion) {
-			return 0, err
-		}
-		hp, perr := fzlight.ParseHeader(comp)
-		if perr != nil {
-			return 0, perr
-		}
-		total := len(comp) // ≥ the real header size for any version
-		for i := 0; i < hp.NumChunks; i++ {
-			s, e := fzlight.ChunkElemRange(hp, i)
-			total += worstChunkBytes(e-s, hp.BlockSize)
-		}
-		return total, nil
+		return 0, err
 	}
-	total := fzlight.HeaderOverhead(h.NumChunks)
-	for i := 0; i < h.NumChunks; i++ {
-		s, e := fzlight.ChunkBounds(h.DataLen, h.NumChunks, i)
-		total += worstChunkBytes(e-s, h.BlockSize)
-	}
-	return total, nil
+	return h.Bound(), nil
 }
 
 // ScaleInt multiplies every value in a compressed stream by the integer k,
@@ -711,149 +377,39 @@ func ScaleInt(comp []byte, k int32) ([]byte, error) {
 
 // ScaleIntInto is the reusable-buffer form of ScaleInt: it scales comp by
 // k into dst — which must hold at least ScaleBound(comp) bytes — and
-// returns the container size. For 1D containers with a single chunk the
-// steady state performs zero heap allocations.
+// returns the container size. For single-chunk containers the steady
+// state performs zero heap allocations.
 func ScaleIntInto(dst, comp []byte, k int32) (int, error) {
 	h, err := fzlight.ParseHeaderLite(comp)
 	if err != nil {
-		if errors.Is(err, fzlight.ErrBadVersion) {
-			return scaleIntoSlow(dst, comp, k)
-		}
 		return 0, err
 	}
-	hdr := h.PayloadStart()
-	nc := h.NumChunks
-
-	if nc == 1 {
-		if len(dst) < hdr+worstChunkBytes(h.DataLen, h.BlockSize) {
+	var n int
+	if h.NumChunks == 1 {
+		if len(dst) < h.Bound() {
 			return 0, fzlight.ErrShortOutput
 		}
-		n, err := scaleChunk(dst[hdr:], comp[hdr:], h.DataLen, h.BlockSize, k)
-		if err != nil {
-			if errors.Is(err, ErrOverflow) {
-				mOverflow.Inc()
-			}
-			return 0, err
+		hdr := h.PayloadStart()
+		n, err = scaleChunk(dst[hdr:], comp[hdr:], h.DataLen, h.BlockSize, k)
+		if err == nil {
+			h.Marshal(dst)
+			h.PutChunkSize(dst, 0, n)
+			n += hdr
 		}
-		fzlight.MarshalHeaderLite(dst, h)
-		fzlight.PutChunkSize(dst, 0, n)
-		return hdr + n, nil
+	} else {
+		offs := h.Offsets(comp)
+		n, err = fzlight.WriteChunks(dst, h, nil, func(i int, out []byte) (int, error) {
+			s, e := h.ElemRange(i)
+			return scaleChunk(out, comp[offs[i]:offs[i+1]], e-s, h.BlockSize, k)
+		})
 	}
-
-	// Multi-chunk: scale in parallel at worst-case offsets, then compact —
-	// the same shape as addInto. The index/error scratch is pooled so the
-	// chunked steady state pays only the goroutine spawns.
-	sc := scaleScratchPool.Get().(*scaleScratch)
-	sc.grow(nc)
-	offs, offsIn, sizes, errs := sc.offs, sc.offsIn, sc.sizes, sc.errs
-	offs[0], offsIn[0] = hdr, hdr
-	for i := 0; i < nc; i++ {
-		s, e := fzlight.ChunkBounds(h.DataLen, nc, i)
-		offsIn[i+1] = offsIn[i] + h.ChunkSize(comp, i)
-		offs[i+1] = offs[i] + worstChunkBytes(e-s, h.BlockSize)
-	}
-	if len(dst) < offs[nc] {
-		scaleScratchPool.Put(sc)
-		return 0, fzlight.ErrShortOutput
-	}
-	var wg sync.WaitGroup
-	wg.Add(nc)
-	for i := 0; i < nc; i++ {
-		go func(i int) {
-			defer wg.Done()
-			s, e := fzlight.ChunkBounds(h.DataLen, nc, i)
-			sizes[i], errs[i] = scaleChunk(dst[offs[i]:offs[i+1]], comp[offsIn[i]:offsIn[i+1]], e-s, h.BlockSize, k)
-		}(i)
-	}
-	wg.Wait()
-	fzlight.MarshalHeaderLite(dst, h)
-	o := hdr
-	for i := 0; i < nc; i++ {
-		if errs[i] != nil {
-			if errors.Is(errs[i], ErrOverflow) {
-				mOverflow.Inc()
-			}
-			err := errs[i]
-			scaleScratchPool.Put(sc)
-			return 0, err
-		}
-		copy(dst[o:], dst[offs[i]:offs[i]+sizes[i]])
-		fzlight.PutChunkSize(dst, i, sizes[i])
-		o += sizes[i]
-	}
-	scaleScratchPool.Put(sc)
-	return o, nil
-}
-
-// scaleScratch holds the per-call index and error slices of the
-// multi-chunk ScaleIntInto path so repeated chunked scales reuse them
-// instead of re-allocating four slices per call.
-type scaleScratch struct {
-	offs, offsIn []int
-	sizes        []int
-	errs         []error
-}
-
-var scaleScratchPool = sync.Pool{New: func() any { return new(scaleScratch) }}
-
-func (s *scaleScratch) grow(nc int) {
-	if cap(s.offs) < nc+1 {
-		s.offs = make([]int, nc+1)
-		s.offsIn = make([]int, nc+1)
-		s.sizes = make([]int, nc)
-		s.errs = make([]error, nc)
-	}
-	s.offs = s.offs[:nc+1]
-	s.offsIn = s.offsIn[:nc+1]
-	s.sizes = s.sizes[:nc]
-	s.errs = s.errs[:nc]
-	for i := range s.errs {
-		s.errs[i] = nil
-	}
-}
-
-// scaleIntoSlow scales 2D/3D containers through the allocating chunk path.
-func scaleIntoSlow(dst, comp []byte, k int32) (int, error) {
-	h, offs, err := fzlight.ChunkOffsets(comp)
 	if err != nil {
+		if errors.Is(err, ErrOverflow) {
+			mOverflow.Inc()
+		}
 		return 0, err
 	}
-	chunks := make([][]byte, h.NumChunks)
-	bufs := make([][]byte, h.NumChunks)
-	errs := make([]error, h.NumChunks)
-	var wg sync.WaitGroup
-	for i := 0; i < h.NumChunks; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start, end := fzlight.ChunkElemRange(h, i)
-			buf := bufpool.Bytes(worstChunkBytes(end-start, h.BlockSize))
-			bufs[i] = buf
-			n, err := scaleChunk(buf, comp[offs[i]:offs[i+1]], end-start, h.BlockSize, k)
-			chunks[i] = buf[:n]
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			if errors.Is(e, ErrOverflow) {
-				mOverflow.Inc()
-			}
-			for _, buf := range bufs {
-				bufpool.PutBytes(buf)
-			}
-			return 0, e
-		}
-	}
-	out := fzlight.AssembleLike(h, chunks)
-	for _, buf := range bufs {
-		bufpool.PutBytes(buf)
-	}
-	if len(dst) < len(out) {
-		return 0, fzlight.ErrShortOutput
-	}
-	return copy(dst, out), nil
+	return n, nil
 }
 
 func scaleChunk(dst, src []byte, n, B int, k int32) (int, error) {

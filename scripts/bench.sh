@@ -20,7 +20,7 @@ for arg in "$@"; do
     esac
 done
 
-PATTERN='^(BenchmarkFig6|BenchmarkTable5HomomorphicAdd|BenchmarkFig8Allreduce|BenchmarkParallelAdd)'
+PATTERN='^(BenchmarkFig6|BenchmarkTable5HomomorphicAdd|BenchmarkFig8Allreduce)'
 
 echo "== go test -bench (hot paths) =="
 raw=$(mktemp)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's fast hygiene gate: formatting, vet, and a race
-# pass over the concurrent packages (telemetry's lock-free counters and
-# the cluster runtime). `make check` runs this.
+# pass over the concurrent packages (telemetry's lock-free counters, the
+# cluster runtime, and fzlight's chunk writer with its hzdyn callers).
+# `make check` runs this.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -17,6 +18,6 @@ echo "== go vet =="
 go vet ./...
 
 echo "== go test -race (concurrent packages) =="
-go test -race . ./internal/telemetry ./internal/cluster ./internal/hzdyn ./internal/core
+go test -race . ./internal/telemetry ./internal/cluster ./internal/fzlight ./internal/hzdyn ./internal/core
 
 echo "check: OK"
